@@ -212,6 +212,10 @@ class WeightedSampler:
         Optional prebuilt :class:`AliasTable` over ``instance.profits``
         (e.g. :meth:`AliasTable.from_arrays` over shared-memory columns),
         skipping the O(n) construction.  Must match the instance size.
+        Construction is then O(1) in n: the positive-total-profit check
+        is skipped too, because ``AliasTable.__init__`` already rejected
+        a zero, negative or non-finite profit vector when the table was
+        built.
     """
 
     def __init__(
@@ -223,7 +227,7 @@ class WeightedSampler:
     ) -> None:
         if budget is not None and budget < 0:
             raise OracleError(f"budget must be >= 0, got {budget}")
-        if float(np.sum(instance.profits)) <= 0:
+        if table is None and float(np.sum(instance.profits)) <= 0:
             raise OracleError("weighted sampling requires positive total profit")
         if table is not None and table._n != instance.n:
             raise OracleError(
@@ -240,6 +244,12 @@ class WeightedSampler:
     def n(self) -> int:
         """Instance size."""
         return self._instance.n
+
+    @property
+    def table(self) -> AliasTable:
+        """The alias table draws come from (shareable with other samplers
+        over the same instance via the ``table`` argument)."""
+        return self._table
 
     @property
     def capacity(self) -> float:

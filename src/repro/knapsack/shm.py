@@ -48,7 +48,9 @@ import json
 import os
 import secrets
 import struct
+import sys
 import tempfile
+import threading
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -93,6 +95,10 @@ _OWNED: dict[str, str] = {}
 
 #: Per-process attach cache: (name, digest) -> [store, refcount].
 _ATTACH_CACHE: dict[tuple[str, str], list] = {}
+
+#: Held while a segment is opened, so an untracked attach in one thread
+#: cannot swallow the tracker registration of a create in another.
+_TRACKER_LOCK = threading.Lock()
 
 
 def _align(offset: int) -> int:
@@ -153,6 +159,35 @@ class SharedInstanceHandle:
             raise SharedMemoryError(f"unknown shm backend {self.backend!r}")
 
 
+def _open_untracked(name: str):
+    """Open an existing POSIX segment without registering it with the
+    resource tracker.
+
+    Only the owner's registration may exist: the tracker unlinks what it
+    holds when its process exits, so an attacher with a tracker of its
+    own must not register, and an attacher sharing the owner's tracker
+    (every ``spawn`` and ``forkserver`` pool worker) must not unregister
+    either — that would drop the owner's entry, so a crashed owner would
+    leak the segment and a clean one would make the tracker report a
+    ``KeyError`` when it unlinks.  Python 3.13 has ``track=False``;
+    older versions register unconditionally, so the register call is
+    suppressed for the duration of the open.
+    """
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, create=False, track=False)
+    with _TRACKER_LOCK:
+        register = resource_tracker.register
+        resource_tracker.register = _skip_register
+        try:
+            return shared_memory.SharedMemory(name=name, create=False)
+        finally:
+            resource_tracker.register = register
+
+
+def _skip_register(name, rtype) -> None:
+    return None
+
+
 class _Segment:
     """One mapped byte range, shm- or file-backed, owner- or attach-side."""
 
@@ -170,7 +205,8 @@ class _Segment:
     def create(cls, name: str, nbytes: int, backend: str, spill_dir: str | None) -> "_Segment":
         if backend in ("auto", "shm"):
             try:
-                seg = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
+                with _TRACKER_LOCK:
+                    seg = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
                 return cls("shm", name, seg.buf, shm_obj=seg)
             except OSError:
                 if backend == "shm":
@@ -184,20 +220,9 @@ class _Segment:
     def attach(cls, handle: SharedInstanceHandle) -> "_Segment":
         if handle.backend == "shm":
             try:
-                seg = shared_memory.SharedMemory(name=handle.name, create=False)
+                seg = _open_untracked(handle.name)
             except FileNotFoundError:
                 raise SegmentMissingError(handle.name) from None
-            # Python <3.13 registers *attached* segments with the
-            # resource tracker too, which would unlink them when this
-            # process exits even though it does not own them.  Undo it —
-            # except when this very process owns the segment (owner and
-            # attacher share one tracker registration; forked workers
-            # inherit ``_OWNED`` and must leave the parent's intact).
-            if handle.name not in _OWNED:
-                try:  # pragma: no cover - tracker internals
-                    resource_tracker.unregister(seg._name, "shared_memory")
-                except Exception:
-                    pass
             if seg.size < handle.nbytes:
                 seg.close()
                 raise SharedMemoryError(
@@ -272,6 +297,7 @@ class SharedInstanceStore:
         *,
         backend: str = "auto",
         spill_dir: str | None = None,
+        table=None,
     ) -> "SharedInstanceStore":
         """Lay ``instance`` (plus derived columns) into a fresh segment.
 
@@ -280,12 +306,21 @@ class SharedInstanceStore:
         segment creation fails; ``"shm"``/``"mmap"`` force one side.
         Derived columns — efficiencies and the sampler's alias table —
         are built once here so every attacher skips their O(n) cost.
+        ``table`` is an :class:`~repro.access.weighted_sampler.AliasTable`
+        already built over ``instance.profits`` (a service passes its
+        own sampler's); without one the table is built here.
         """
         if backend not in ("auto", "shm", "mmap"):
             raise SharedMemoryError(f"unknown shm backend {backend!r}")
         from ..access.weighted_sampler import AliasTable  # lazy: avoids an import cycle
 
         n = instance.n
+        if table is None:
+            table = AliasTable(instance.profits)
+        elif table.prob.size != n:
+            raise SharedMemoryError(
+                f"alias table has {table.prob.size} rows for an instance of size {n}"
+            )
         offsets: list[tuple[str, str, int]] = []
         cursor = _HEADER_BYTES
         for col_name, dtype in _COLUMNS:
@@ -314,7 +349,6 @@ class SharedInstanceStore:
         store._views["profits"][:] = instance.profits
         store._views["weights"][:] = instance.weights
         store._views["efficiencies"][:] = instance.efficiencies()
-        table = AliasTable(instance.profits)
         store._views["alias_prob"][:] = table.prob
         store._views["alias_idx"][:] = table.alias
         header = json.dumps(
@@ -540,10 +574,11 @@ def _finalize_owner(name: str, backend: str, path: str | None) -> None:
 def attach_cached(handle: SharedInstanceHandle) -> SharedInstanceStore:
     """Attach with a per-process cache keyed on ``(name, digest)``.
 
-    Pool workers serve many chunks of the same batch; re-mapping (and
-    re-verifying) the segment per chunk would waste syscalls.  The first
-    call attaches and verifies; subsequent calls bump a refcount and
-    record an ``shm.attach_hits`` counter.  Pair with
+    A service's pool workers live across batches and serve many chunks;
+    re-mapping (and re-verifying) the segment per chunk would waste
+    syscalls and page faults.  The first call in a worker attaches and
+    verifies; every later call returns the cached entry, bumps a
+    refcount and records an ``shm.attach_hits`` counter.  Pair with
     :func:`detach_cached`, or let process exit reclaim the mappings
     (workers never own segments, so nothing can leak system-wide).
     """

@@ -30,6 +30,7 @@ __all__ = [
     "TIMELINE",
     "activate_timeline",
     "deactivate_timeline",
+    "timeline_spec",
     "timeline_state",
     "span",
     "record_oracle_queries",
@@ -57,11 +58,10 @@ TRACER = Tracer()
 RECORDER = FlightRecorder()
 
 #: The process-global timeline sampler (``None`` unless activated).
-#: Forked shard workers inherit the activated sampler through this
-#: module global — that inheritance *is* the capture opt-in signal —
-#: and swap in a ``fresh()`` copy during :func:`reset_worker_runtime`
-#: so shard-local ticks never alias the parent's ring.  Spawn-based
-#: pools start with ``None`` and simply don't capture.
+#: Shard workers never rely on inheriting it: the parent ships
+#: :func:`timeline_spec` in each chunk's payload and the worker builds
+#: its own per-chunk sampler in :func:`reset_worker_runtime`, so capture
+#: works the same in a long-lived pool and under any start method.
 TIMELINE: TimelineSampler | None = None
 
 
@@ -78,6 +78,12 @@ def activate_timeline(sampler: TimelineSampler | None) -> TimelineSampler | None
 def deactivate_timeline() -> None:
     """Clear the process-global timeline sampler."""
     activate_timeline(None)
+
+
+def timeline_spec() -> dict | None:
+    """Configuration of the active timeline for a shard worker to copy,
+    or ``None`` when no timeline is active."""
+    return TIMELINE.spec() if TIMELINE is not None else None
 
 
 def timeline_state() -> dict | None:
@@ -212,24 +218,25 @@ def record_event(kind: str, **attrs) -> None:
     RECORDER.record(kind, trace_id=trace_id, span_id=span_id, **attrs)
 
 
-def reset_worker_runtime() -> None:
-    """Reinitialize the global runtime inside a forked worker.
+def reset_worker_runtime(timeline: dict | None = None) -> None:
+    """Reinitialize the global runtime for one shard chunk in a worker.
 
-    Fork copies the parent's counter values, open span stack, and
-    recorded events into the child; a shard worker must start from zero
-    or its shipped-home state would double-count the parent's.  Resets
-    the registry *in place* (module-level cached counter objects keep
-    their identity), gives the tracer fresh thread-local state and
-    locks, clears the recorder, and — when the parent had a timeline
-    active — replaces the inherited sampler with an empty ``fresh()``
-    copy so shard-local capture starts from zero.
+    A worker must ship home only what its chunk did: fork copies the
+    parent's counter values, open span stack, and recorded events, and
+    a long-lived worker still holds its previous chunk's.  Resets the
+    registry *in place* (module-level cached counter objects keep their
+    identity), gives the tracer fresh thread-local state and locks (and
+    leaves it disabled), clears the recorder, and installs a fresh
+    timeline sampler built from ``timeline`` — the parent's
+    :func:`timeline_spec` — or none when that is ``None``.
     """
     global TIMELINE
     REGISTRY.reset()
     TRACER.reset_worker()
     RECORDER.clear()
-    if TIMELINE is not None:
-        TIMELINE = TIMELINE.fresh()
+    TIMELINE = (
+        TimelineSampler(**timeline, registry=REGISTRY) if timeline is not None else None
+    )
 
 
 def snapshot() -> dict:

@@ -28,10 +28,12 @@ Two clock regimes, same discipline as ``bench-load/v1``:
   load harness's asyncio sampler, the NDJSON endpoint's background
   task, ``repro top``'s poll loop).
 
-**Shard-local capture.**  A forked worker inherits the parent's active
-sampler; :func:`~repro.obs.runtime.reset_worker_runtime` swaps in a
-:meth:`fresh` one, the worker captures locally from zero, and the
-parent folds the shipped :meth:`state` back with :meth:`merge_state` —
+**Shard-local capture.**  The parent ships its active sampler's
+:meth:`spec` (or ``None``) in every shard chunk's payload;
+:func:`~repro.obs.runtime.reset_worker_runtime` builds a fresh sampler
+from it for that chunk (or none), the worker captures locally from
+zero, and the parent folds the shipped :meth:`state` back with
+:meth:`merge_state` —
 winners only, through the same ``obs_state`` path that merges the
 registry and trace (losing shard attempts are dropped, exactly like
 their cost bills).  Merge semantics per tick index: counter deltas and
@@ -144,18 +146,13 @@ class TimelineSampler:
         return self._dropped
 
     def fresh(self) -> "TimelineSampler":
-        """An empty sampler with this one's configuration.
+        """An empty sampler with this one's configuration and registry."""
+        return TimelineSampler(**self.spec(), registry=self._registry)
 
-        Used by ``reset_worker_runtime``: a forked shard inherits the
-        parent's sampler object and must replace it with a zeroed one
-        (same clock, same grid) before capturing its own local ticks.
-        """
-        return TimelineSampler(
-            clock=self.clock,
-            tick_s=self.tick_s,
-            capacity=self.capacity,
-            registry=self._registry,
-        )
+    def spec(self) -> dict:
+        """Picklable configuration (clock, grid, ring bound) — what a
+        shard worker needs to build its own empty sampler."""
+        return {"clock": self.clock, "tick_s": self.tick_s, "capacity": self.capacity}
 
     # ------------------------------------------------------------------
     def tick(

@@ -39,14 +39,18 @@ cache does not constitute forbidden cross-run state.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 import time
+import weakref
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +85,37 @@ from .cache import CacheKey, PipelineCache, instance_fingerprint
 from .degraded import DegradedAnswer, GreedyFallback, reason_code_for
 from .overload import BreakerConfig, guard_access
 
-__all__ = ["BatchReport", "KnapsackService", "derive_worker_nonce"]
+__all__ = [
+    "BatchReport",
+    "KnapsackService",
+    "MEMORY_SAMPLE_EVERY",
+    "POOL_START_METHOD",
+    "derive_worker_nonce",
+]
 
 #: Failures the degradation ladder absorbs; anything else is a bug and
 #: propagates regardless of strictness.
 _DEGRADABLE = (QueryBudgetExceededError, FaultInjectionError)
+
+#: Start method of every worker pool, pinned here rather than left to
+#: the interpreter default (Python 3.14 moves Linux to ``forkserver``).
+#: ``fork`` where the platform has it: a forked worker starts with the
+#: parent's modules imported, while a ``forkserver`` or ``spawn`` worker
+#: re-imports them.  Answers do not depend on it — every chunk's state
+#: travels in its payload.
+POOL_START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
+#: A pool worker reads ``/proc/self/smaps_rollup`` on its first chunk and
+#: on every this-many-th chunk after it; chunks in between ship the last
+#: snapshot, which carries the chunk ordinal it was read at.
+MEMORY_SAMPLE_EVERY = 32
+
+#: This worker process's chunk ledger: pid it belongs to (a forked
+#: child inherits its parent's ledger and must not continue it), chunks
+#: served, and the latest memory snapshot.
+_LEDGER: dict = {"pid": None, "chunks": 0, "memory": None}
 
 
 def derive_worker_nonce(seed: SeedChain, base_nonce: int, worker: int) -> int:
@@ -121,23 +151,44 @@ def _wrap_access(sampler, oracle, plan, policy, labels: tuple, audit=None):
     return sampler, oracle
 
 
-def _serve_chunk(payload) -> tuple:
-    """Process-pool entry: answer one shard in a fresh interpreter.
+def _chunk_memory() -> dict:
+    """This worker's memory snapshot for the chunk ending now.
 
-    Rebuilds the access objects from the pickled instance (the child
-    shares no state with the parent — the strongest possible form of the
-    fleet's independence claim), applies the shard's fault/retry wiring,
-    and returns the slim answers plus the shard's full bill:
+    Re-read on the worker's first chunk and whenever the chunk ordinal
+    is a multiple of :data:`MEMORY_SAMPLE_EVERY`; otherwise the last
+    snapshot is reused.  ``chunk`` is the ordinal it was read at and
+    ``age_chunks`` how many chunks ago that was."""
+    pid = os.getpid()
+    if _LEDGER["pid"] != pid:
+        _LEDGER.update(pid=pid, chunks=0, memory=None)
+    ordinal = _LEDGER["chunks"]
+    _LEDGER["chunks"] = ordinal + 1
+    if ordinal % MEMORY_SAMPLE_EVERY == 0:
+        _LEDGER["memory"] = {**process_memory(), "chunk": ordinal}
+    memory = _LEDGER["memory"]
+    return {**memory, "age_chunks": ordinal - memory["chunk"]}
+
+
+def _serve_chunk(payload) -> tuple:
+    """Process-pool entry: answer one shard in a long-lived pool worker.
+
+    Builds the shard's access objects (the chunk reads no state the
+    parent left behind — the strongest possible form of the fleet's
+    independence claim), applies the shard's fault/retry wiring, and
+    returns the slim answers plus the shard's full bill:
     ``(answers, samples, queries, blocks, degraded, probe_retries, obs)``
-    where ``obs`` carries the worker's full observability state — its
+    where ``obs`` carries the chunk's full observability state — its
     registry (mergeable histogram buckets, not quantile summaries), its
     finished ``serve.shard`` span tree (when the parent propagated a
     trace context), and its flight-recorder events — so the parent can
     fold the shard's telemetry in exactly, not just its cost totals.
 
-    The worker resets the global runtime first: under ``fork`` the child
-    inherits the parent's counter values, open span stack, and recorded
-    events, all of which would double-count if shipped home.
+    The worker resets the global runtime first: a forked worker inherits
+    the parent's counter values, open span stack, and recorded events,
+    and a reused worker still holds its previous chunk's, all of which
+    would double-count if shipped home.  Tracing and timeline capture
+    are switched on per chunk from the payload alone (the trace context
+    and the parent's timeline spec), never from inherited globals.
 
     Under a plan with ``shard_kill_rate`` the child may deterministically
     kill itself *before* doing any work (``os._exit`` => the parent sees
@@ -146,18 +197,19 @@ def _serve_chunk(payload) -> tuple:
 
     Slot 0 of the payload is either the pickled instance (legacy path:
     O(n) per shard) or a :class:`SharedInstanceHandle` (shared-memory
-    path: the worker attaches zero-copy views and re-wraps the
-    segment's prebuilt alias table — O(1) per shard in n).  The attach
-    — including its digest verification, which happens *before* any
-    access object exists, so no query is ever billed against a wrong
-    segment — runs before ``reset_worker_runtime`` so the worker's
-    shipped-home registry is identical between the two paths; the
-    parent-facing setup/memory measurements travel in dedicated
-    ``obs_state`` keys instead.
+    path: the worker attaches zero-copy views once per worker lifetime
+    and re-wraps the segment's prebuilt alias table — O(1) per chunk in
+    n).  The attach — including its digest verification, which happens
+    *before* any access object exists, so no query is ever billed
+    against a wrong segment — runs before ``reset_worker_runtime`` so
+    the worker's shipped-home registry is identical between the two
+    paths; the parent-facing setup/memory measurements travel in
+    dedicated ``obs_state`` keys instead.
     """
     (
         instance, epsilon, seed, params, tie_breaking, mode, nonce, indices,
         plan, policy, attempt, strict, trace_ctx, audit_bounds, breaker_cfg,
+        timeline,
     ) = payload
     if plan is not None and plan.shard_kill(nonce, attempt):
         os._exit(17)
@@ -172,7 +224,7 @@ def _serve_chunk(payload) -> tuple:
     if isinstance(instance, SharedInstanceHandle):
         shared_store = attach_cached(instance)
         instance = shared_store.instance
-    _obs.reset_worker_runtime()
+    _obs.reset_worker_runtime(timeline)
     if trace_ctx is not None:
         _obs.TRACER.enable()
         _obs.TRACER.adopt(*trace_ctx)
@@ -230,13 +282,13 @@ def _serve_chunk(payload) -> tuple:
         "trace": span_to_payload(root) if root is not None else None,
         "events": [e.to_dict() for e in _obs.RECORDER.events()],
         "dropped_events": _obs.RECORDER.dropped,
-        # Shard-local timeline ticks (None unless the parent had an
-        # active sampler at fork time — spawn pools never capture).
+        # Shard-local timeline ticks (None unless the payload carried
+        # the parent's timeline spec).
         "timeline": _obs.timeline_state(),
         # Parent-facing scale telemetry (not part of the merged registry,
         # so thread-vs-process registry parity is unaffected).
         "setup_s": setup_s,
-        "memory": process_memory(),
+        "memory": _chunk_memory(),
         "shared": shared_store is not None,
     }
     return (
@@ -289,6 +341,81 @@ def _first_result(
                 except Exception as exc:  # worker death, pickling, ...
                     err = exc
     return None, None, err
+
+
+class _WorkerPools:
+    """A service's persistent process pools, one per lane.
+
+    Lane 0 serves every shard; hedged services add lane 1 for the
+    duplicate submissions.  A lane's pool is built on first use and kept
+    across batches, so its workers keep their segment attachment and
+    warm page tables.  It is replaced only when it broke (a worker
+    died), when the watchdog escalated, or on :meth:`shutdown`.  Holds
+    no reference to the service, so the service's GC finalizer can call
+    :meth:`shutdown` without keeping the service alive.
+    """
+
+    def __init__(self, lanes: int, workers: int) -> None:
+        self._workers = workers
+        self._lanes: list = [None] * lanes
+        self._lock = threading.Lock()
+
+    @property
+    def lanes(self) -> int:
+        return len(self._lanes)
+
+    def _pool(self, lane: int):
+        with self._lock:
+            pool = self._lanes[lane]
+            if pool is None:
+                pool = self._lanes[lane] = ProcessPoolExecutor(
+                    max_workers=self._workers,
+                    mp_context=multiprocessing.get_context(POOL_START_METHOD),
+                )
+            return pool
+
+    def submit(self, lane: int, payload) -> tuple:
+        """Submit one chunk on ``lane``; returns ``(pool, future)``.
+
+        A pool found broken at submit (a worker died while idle) is
+        replaced and the chunk goes to the new one."""
+        pool = self._pool(lane)
+        try:
+            return pool, pool.submit(_serve_chunk, payload)
+        except BrokenProcessPool:
+            self.retire(pool)
+            pool = self._pool(lane)
+            return pool, pool.submit(_serve_chunk, payload)
+
+    def retire(self, pool, *, terminate: bool = False) -> None:
+        """Take ``pool`` out of its lane (if still there) and shut it
+        down; the lane's next submit builds a replacement.
+
+        ``terminate`` escalates: cancel what never started, terminate
+        what runs (a wedged worker would make ``shutdown(wait=True)``
+        hang for its stall's full duration), and reap the workers."""
+        with self._lock:
+            self._lanes = [None if p is pool else p for p in self._lanes]
+        if not terminate:
+            pool.shutdown(wait=True, cancel_futures=True)
+            return
+        procs = list((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join(5.0)
+
+    def shutdown(self) -> None:
+        """Shut every lane's pool down and reap its workers."""
+        with self._lock:
+            pools = [p for p in self._lanes if p is not None]
+            self._lanes = [None] * len(self._lanes)
+        for pool in pools:
+            try:
+                pool.shutdown(wait=True, cancel_futures=True)
+            except RuntimeError:  # collected on the pool's own manager thread
+                pool.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -395,7 +522,10 @@ class KnapsackService:
         run.  Thread shards share the parent's cache; process shards
         cannot (results stay in the child), but exercise true
         zero-shared-state execution and rely on answers being cheap to
-        pickle.
+        pickle.  Process shards run on one pool of ``max_workers``
+        workers per service, started with :data:`POOL_START_METHOD` on
+        the first process batch and kept until :meth:`close` (or until
+        a worker dies or the watchdog escalates, which replace it).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; wraps every access
         object (the service's own and each shard's) in deterministic
@@ -414,8 +544,8 @@ class KnapsackService:
         the batch gives up on it (raise under strict, degrade otherwise).
     hedge:
         When true, each process-pool shard is also submitted to a second
-        pool; first result wins with a deterministic tie-break (primary
-        preferred).
+        persistent pool; first result wins with a deterministic
+        tie-break (primary preferred).
     max_staleness:
         Bound (in served batches) on how stale a memoized pipeline the
         degradation ladder's cache rung may answer from; ``None``
@@ -448,9 +578,9 @@ class KnapsackService:
         When truthy, process-pool shards receive an O(1)
         :class:`~repro.knapsack.shm.SharedInstanceHandle` instead of the
         pickled instance and attach zero-copy views of one shared
-        segment (columns plus a prebuilt alias table), making per-shard
-        setup independent of n.  ``True`` creates the segment lazily on
-        the first process batch; pass an existing
+        segment (columns plus the service's alias table), making
+        per-shard setup independent of n.  ``True`` creates the segment
+        lazily on the first process batch; pass an existing
         :class:`~repro.knapsack.shm.SharedInstanceStore` to share one
         segment between services (the caller keeps unlink ownership).
         Answers, probe bills and per-phase obs totals are bit-identical
@@ -472,9 +602,9 @@ class KnapsackService:
         shard futures.  A shard that neither finishes nor dies within
         the deadline is abandoned as a
         :class:`~repro.errors.WatchdogTimeoutError` and requeued through
-        the existing worker-death path; the wedged pool is torn down
-        without waiting so its shared-memory attachments release (the
-        parent keeps unlink ownership — no segment leaks).
+        the existing worker-death path; the wedged pool is terminated
+        without waiting and replaced, so its shared-memory attachments
+        release (the parent keeps unlink ownership — no segment leaks).
     """
 
     def __init__(
@@ -545,6 +675,9 @@ class KnapsackService:
         self._max_shard_retries = int(max_shard_retries)
         self._hedge = bool(hedge)
         self._merge_losers = bool(merge_losers)
+        self._pools = _WorkerPools(2 if self._hedge else 1, self._max_workers)
+        # A service dropped without close() still reaps its workers.
+        weakref.finalize(self, self._pools.shutdown)
         if breaker is True:
             self._breaker_cfg: BreakerConfig | None = BreakerConfig()
         elif breaker is False:
@@ -571,6 +704,8 @@ class KnapsackService:
             self._audit_bounds = None
             self._audit = None
         sampler = WeightedSampler(instance)
+        # Built once: thread shards and the shared-memory segment reuse it.
+        self._alias_table = sampler.table
         oracle = QueryOracle(instance)
         self._faulty_sampler: FaultySampler | None = None
         self._faulty_oracle: FaultyOracle | None = None
@@ -1083,7 +1218,7 @@ class KnapsackService:
         def serve_shard(shard, shard_nonce, slot):
             if parent_trace is not None:
                 _obs.TRACER.adopt(parent_trace, f"{parent_span}.s{slot}")
-            sampler = WeightedSampler(self._instance)
+            sampler = WeightedSampler(self._instance, table=self._alias_table)
             oracle = QueryOracle(self._instance)
             sampler, oracle = _wrap_access(
                 sampler, oracle, self._fault_plan, self._retry_policy,
@@ -1150,7 +1285,9 @@ class KnapsackService:
     def _ensure_store(self) -> SharedInstanceStore:
         """Lazily lay the instance into shared memory (first process batch)."""
         if self._store is None or self._store.closed:
-            self._store = SharedInstanceStore.create(self._instance)
+            self._store = SharedInstanceStore.create(
+                self._instance, table=self._alias_table
+            )
             self._owns_store = True
         return self._store
 
@@ -1183,6 +1320,8 @@ class KnapsackService:
             # builds its own breaker in the child, because a circuit is
             # a per-process health verdict, not shared global state.
             self._breaker_cfg,
+            # Timeline capture is opted into per chunk, like tracing.
+            _obs.timeline_spec(),
         )
 
     def _merge_worker_obs(self, obs: dict | None, *, abandoned: bool = False) -> None:
@@ -1240,22 +1379,48 @@ class KnapsackService:
             res[6] if len(res) > 6 else None, abandoned=True
         )
 
-    def _run_process(self, shards, nonces, w, strict) -> _ShardTotals:
-        """Submit shards to a process pool with requeue-on-death.
+    def _settle_round(self, owner: dict, *, escalate: bool) -> None:
+        """End one requeue round on the persistent pools.
 
-        A dead worker breaks its whole pool, so each requeue round runs
-        in a fresh pool; the failed shard is resubmitted with an
-        incremented attempt index (its fault coins are attempt-keyed, so
-        a requeue is a genuinely new roll, not a replay of its killer).
-        Hedged mode mirrors every submission into a second, independent
-        pool — first result wins, primaries break ties.
+        Normally: cancel the attempts that never started, wait for the
+        running ones, and retire any pool a dead worker broke.  After a
+        watchdog expiry: terminate and retire every pool the round used.
+        """
+        if escalate:
+            for pool in {id(p): p for p in owner.values()}.values():
+                self._pools.retire(pool, terminate=True)
+            return
+        for fut in owner:
+            fut.cancel()
+        wait(list(owner))
+        broken = {
+            id(pool): pool
+            for fut, pool in owner.items()
+            if not fut.cancelled() and isinstance(fut.exception(), BrokenProcessPool)
+        }
+        for pool in broken.values():
+            self._pools.retire(pool)
+
+    def _run_process(self, shards, nonces, w, strict) -> _ShardTotals:
+        """Submit shards to the service's process pool with requeue-on-death.
+
+        The pool outlives the batch (see :class:`_WorkerPools`).  A dead
+        worker breaks its whole pool, so a round that saw one retires
+        that pool and the requeue round runs on its replacement; the
+        failed shard is resubmitted with an incremented attempt index
+        (its fault coins are attempt-keyed, so a requeue is a genuinely
+        new roll, not a replay of its killer).  Hedged mode mirrors
+        every submission into a second pool — first result wins,
+        primaries break ties.  At the end of each round attempts that
+        never started are cancelled and running ones are waited for, so
+        every loser has settled before ``merge_losers`` harvests it.
 
         Under ``shard_deadline_s`` a stuck-shard watchdog bounds each
         shard's wait: an attempt that neither finishes nor dies in time
         is abandoned (``WatchdogTimeoutError``) and rides the same
         requeue path as a dead worker.  A round that fired the watchdog
-        tears its pools down without waiting — the wedged worker is
-        terminated, not joined — so a stall can never hold the batch
+        escalates instead of waiting — the round's pools are terminated
+        and replaced, not joined — so a stall can never hold the batch
         hostage, and the parent (which owns any shared-memory segment)
         still unlinks on close: no segment leaks.
         """
@@ -1270,25 +1435,25 @@ class KnapsackService:
         while todo:
             failed: list[int] = []
             watchdog_fired = False
-            pools = [ProcessPoolExecutor(max_workers=w)]
-            if self._hedge:
-                pools.append(ProcessPoolExecutor(max_workers=w))
+            futures: dict[int, list] = {}
+            owner: dict = {}  # future -> the pool it was submitted to
+            winners: dict[int, object] = {}
             try:
-                futures: dict[int, list] = {}
                 for k in todo:
                     subs = []
-                    for pool in pools:
+                    for lane in range(self._pools.lanes):
                         payload = self._chunk_payload(
                             shards[k], nonces[k], submissions[k], strict, k
                         )
-                        subs.append(pool.submit(_serve_chunk, payload))
+                        pool, fut = self._pools.submit(lane, payload)
+                        owner[fut] = pool
+                        subs.append(fut)
                         submissions[k] += 1
                     if len(subs) > 1:
                         hedges += 1
                         _obs.record_hedges(1)
                         _obs.record_event("shard.hedge", shard=k, nonce=nonces[k])
                     futures[k] = subs
-                winners: dict[int, object] = {}
                 for k in todo:
                     res, winner, err = _first_result(
                         futures[k], timeout_s=self._shard_deadline_s, shard=k
@@ -1312,27 +1477,12 @@ class KnapsackService:
                         last_error[k] = err
                         failed.append(k)
             finally:
-                if watchdog_fired:
-                    # A wedged worker would make shutdown(wait=True) hang
-                    # for the stall's full duration; escalate instead —
-                    # cancel what never started, terminate what wedged.
-                    for pool in pools:
-                        procs = list(
-                            (getattr(pool, "_processes", None) or {}).values()
-                        )
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        for proc in procs:
-                            proc.terminate()
-                        for proc in procs:
-                            proc.join(5.0)
-                else:
-                    for pool in pools:
-                        pool.shutdown(wait=True, cancel_futures=True)
+                self._settle_round(owner, escalate=watchdog_fired)
             if self._merge_losers:
-                # Post-shutdown the round's futures are settled: losing
-                # attempts that ran to completion (hedge runners-up, or
-                # late finishers the winner beat) are harvestable;
-                # cancelled-before-start ones are not — nothing ran.
+                # The round's futures are settled: losing attempts that
+                # ran to completion (hedge runners-up, or late finishers
+                # the winner beat) are harvestable; cancelled-before-start
+                # ones are not — nothing ran.
                 for k, subs in futures.items():
                     for fut in subs:
                         if fut is winners.get(k) or fut.cancelled():
@@ -1438,7 +1588,12 @@ class KnapsackService:
     @property
     def worker_memory(self) -> list[dict]:
         """Per-winning-shard :func:`~repro.knapsack.shm.process_memory`
-        snapshots, most recent process batch."""
+        snapshots, most recent process batch.
+
+        A worker re-reads its memory only every
+        :data:`MEMORY_SAMPLE_EVERY` chunks; each snapshot carries the
+        worker's chunk ordinal it was read at (``chunk``) and how many
+        chunks old it is (``age_chunks``)."""
         return list(self._worker_memory)
 
     def shm_stats(self) -> dict | None:
@@ -1464,12 +1619,16 @@ class KnapsackService:
         return out
 
     def close(self) -> None:
-        """Release the shared-memory segment, if this service owns one.
+        """Shut the worker pools down, then release the shared-memory
+        segment if this service owns one.
 
-        Idempotent; a no-op for non-shared services and for services
-        given a caller-owned :class:`SharedInstanceStore`.  After close,
-        the next process batch lazily creates a fresh segment.
+        Every worker is reaped before the segment is unlinked.
+        Idempotent; the segment step is a no-op for non-shared services
+        and for services given a caller-owned
+        :class:`SharedInstanceStore`.  After close, the next process
+        batch lazily creates a new pool (and, if owned, a new segment).
         """
+        self._pools.shutdown()
         if self._store is not None and self._owns_store:
             self._store.close()
         if self._owns_store:

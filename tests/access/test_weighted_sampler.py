@@ -102,6 +102,18 @@ class TestWeightedSampler:
         assert ws.capacity == 0.5
         assert ws.budget is None
 
+    def test_prebuilt_table_skips_the_profit_sum(self, inst, monkeypatch):
+        import repro.access.weighted_sampler as ws
+
+        table = AliasTable(inst.profits)
+
+        def no_sum(*args, **kwargs):
+            raise AssertionError("O(n) profit sum with a prebuilt table")
+
+        monkeypatch.setattr(ws.np, "sum", no_sum)
+        sampler = WeightedSampler(inst, table=table)
+        assert sampler.table is table
+
 
 class TestCustomSampler:
     def test_custom_law(self, inst):

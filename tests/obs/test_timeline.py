@@ -311,6 +311,63 @@ class TestShardRideAlong:
                 merged_counters[name] = merged_counters.get(name, 0) + delta
         assert merged_counters.get("sampler.samples", 0) > 0
 
+    def test_sampler_activated_after_pool_start_still_captures(
+        self, tiers_instance, fast_params
+    ):
+        """The pool outlives batches, so its workers were forked before
+        the sampler existed: capture must come from the chunk payload."""
+        from repro.obs import runtime as rt
+        from repro.serve import KnapsackService
+
+        rt.REGISTRY.reset()
+        rt.deactivate_timeline()
+        with KnapsackService(
+            tiers_instance, 0.1, seed=42, params=fast_params,
+            cache=False, executor="process",
+        ) as svc:
+            svc.answer_batch(list(range(0, 60, 3)), nonce=31, workers=2)
+            sampler = TimelineSampler(clock="wall", tick_s=0.25, registry=rt.REGISTRY)
+            rt.activate_timeline(sampler)
+            try:
+                svc.answer_batch(list(range(0, 60, 3)), nonce=32, workers=2)
+            finally:
+                rt.deactivate_timeline()
+        assert sampler.count >= 1
+        samples = sum(
+            tick["counters"].get("sampler.samples", 0) for tick in sampler.samples()
+        )
+        assert samples > 0
+
+    def test_deactivated_sampler_ships_nothing(
+        self, tiers_instance, fast_params, monkeypatch
+    ):
+        from repro.obs import runtime as rt
+        from repro.serve import KnapsackService
+
+        shipped = []
+        merge = KnapsackService._merge_worker_obs
+
+        def spy(self, obs, **kw):
+            shipped.append((obs or {}).get("timeline"))
+            return merge(self, obs, **kw)
+
+        monkeypatch.setattr(KnapsackService, "_merge_worker_obs", spy)
+        rt.REGISTRY.reset()
+        sampler = TimelineSampler(clock="wall", tick_s=0.25, registry=rt.REGISTRY)
+        rt.activate_timeline(sampler)
+        with KnapsackService(
+            tiers_instance, 0.1, seed=42, params=fast_params,
+            cache=False, executor="process",
+        ) as svc:
+            try:
+                svc.answer_batch(list(range(0, 60, 3)), nonce=31, workers=2)
+            finally:
+                rt.deactivate_timeline()
+            assert len(shipped) == 2 and all(t is not None for t in shipped)
+            shipped.clear()
+            svc.answer_batch(list(range(0, 60, 3)), nonce=32, workers=2)
+        assert shipped == [None, None]
+
     def test_inactive_parent_ships_no_timeline(
         self, tiers_instance, fast_params
     ):

@@ -164,3 +164,37 @@ class TestSharedCache:
         assert stats["samples_used"] > 0
         assert stats["queries_used"] == 1
         assert stats["cache"]["misses"] == 1
+
+
+class TestSharedAliasTable:
+    """Thread shards reuse the service's alias table instead of
+    rebuilding an O(n) one per shard per batch (answers stay equal to a
+    serial replay: see ``test_invariance.py``)."""
+
+    def test_thread_batch_builds_no_alias_table(
+        self, tiers_instance, fast_params, monkeypatch
+    ):
+        from repro.access.weighted_sampler import AliasTable
+
+        svc = KnapsackService(
+            tiers_instance, 0.1, seed=42, params=fast_params, cache=False
+        )
+        builds = []
+        init = AliasTable.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AliasTable, "__init__", counting)
+        svc.answer_batch(list(range(0, 60, 3)), nonce=31, workers=2)
+        svc.answer_batch(list(range(0, 60, 3)), nonce=32, workers=3)
+        assert builds == []
+
+    def test_zero_profit_instance_is_rejected_at_construction(self, fast_params):
+        from repro.errors import OracleError
+        from repro.knapsack.instance import KnapsackInstance
+
+        zero = KnapsackInstance([0.0, 0.0, 0.0], [0.1, 0.2, 0.3], 1.0, normalize=False)
+        with pytest.raises(OracleError):
+            KnapsackService(zero, 0.1, params=fast_params)

@@ -123,3 +123,39 @@ def test_close_is_idempotent(tiers_instance, fast_params):
     svc.close()
     svc.close()
     assert svc.shm_stats()["store"] is None
+
+
+class TestStoreReusesServiceTable:
+    def test_shared_setup_builds_one_alias_table(
+        self, tiers_instance, fast_params, monkeypatch
+    ):
+        from repro.access.weighted_sampler import AliasTable
+
+        builds = []
+        init = AliasTable.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AliasTable, "__init__", counting)
+        with KnapsackService(
+            tiers_instance, 0.1, seed=42, params=fast_params,
+            cache=False, executor="process", shared_instance=True,
+        ) as svc:
+            svc.answer_batch(INDICES, nonce=NONCE, workers=2)
+            store = svc.stats()["shm"]["store"]
+            assert store is not None
+        assert len(builds) == 1  # the service's; the segment copies it
+        assert orphaned_system_segments() == []
+
+    def test_zero_profit_instance_is_rejected_at_store_creation(self):
+        from repro.errors import OracleError
+        from repro.knapsack.instance import KnapsackInstance
+
+        zero = KnapsackInstance([0.0, 0.0, 0.0], [0.1, 0.2, 0.3], 1.0, normalize=False)
+        created = _counter("shm.segments_created")
+        with pytest.raises(OracleError):
+            SharedInstanceStore.create(zero)
+        assert _counter("shm.segments_created") == created
+        assert orphaned_system_segments() == []
