@@ -41,7 +41,6 @@ __all__ = [
     "record_probe_retries",
     "record_degraded",
     "record_shard_retries",
-    "record_hedges",
     "record_shm",
     "record_event",
     "reset_worker_runtime",
@@ -110,7 +109,6 @@ _FAULT_KINDS = {
 _PROBE_RETRIES = REGISTRY.counter("serve.probe_retries")
 _DEGRADED = REGISTRY.counter("serve.degraded")
 _SHARD_RETRIES = REGISTRY.counter("serve.shard_retries")
-_HEDGES = REGISTRY.counter("serve.hedges")
 
 
 def span(name: str):
@@ -186,11 +184,6 @@ def record_degraded(n: int = 1) -> None:
 def record_shard_retries(n: int = 1) -> None:
     """``n`` parallel shards requeued after worker death."""
     _SHARD_RETRIES.inc(n)
-
-
-def record_hedges(n: int = 1) -> None:
-    """``n`` hedged duplicate shard submissions fired."""
-    _HEDGES.inc(n)
 
 
 def record_probe_hedges(n: int = 1) -> None:

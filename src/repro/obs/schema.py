@@ -747,6 +747,11 @@ def validate_bench_observability(doc: dict) -> dict:
     recorded latencies and ``within_budget`` must follow from
     ``overhead_frac <= budget_frac`` — a doctored overhead row fails
     validation, which is the CI tripwire.
+
+    Each entry's ``sample_batch_histogram`` must describe the same draws
+    as its ``total_samples``: the histogram's ``sum`` equals the total,
+    and an experiment that drew nothing has an empty histogram.  A
+    histogram filed under the wrong experiment fails here.
     """
     problems: list[str] = []
     if doc.get("schema") != "bench-observability/v1":
@@ -762,8 +767,25 @@ def validate_bench_observability(doc: dict) -> dict:
             _require(entry, "title", str, problems, where + ".")
             _require(entry, "wall_clock_s", _NUM, problems, where + ".")
             _require(entry, "total_queries", int, problems, where + ".")
-            _require(entry, "total_samples", int, problems, where + ".")
-            _require(entry, "sample_batch_histogram", dict, problems, where + ".")
+            samples_ok = _require(entry, "total_samples", int, problems, where + ".")
+            if (
+                _require(entry, "sample_batch_histogram", dict, problems, where + ".")
+                and samples_ok
+            ):
+                hist = entry["sample_batch_histogram"]
+                hw = where + ".sample_batch_histogram"
+                if _require(hist, "sum", _NUM, problems, hw + ".") and (
+                    hist["sum"] != entry["total_samples"]
+                ):
+                    problems.append(
+                        f"{hw}.sum is {hist['sum']}, but the entry's "
+                        f"total_samples is {entry['total_samples']}"
+                    )
+                if entry["total_samples"] == 0 and hist.get("count", 0) != 0:
+                    problems.append(
+                        f"{hw}.count is {hist.get('count')}, but the entry "
+                        "drew no samples"
+                    )
             if "sampler_overhead" not in entry:
                 continue
             block = entry["sampler_overhead"]

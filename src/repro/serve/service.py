@@ -26,7 +26,7 @@ On top of the amortizations sits the **resilience layer** (see
 ``docs/robustness.md``): the service can treat oracle access as an
 unreliable resource (:class:`~repro.faults.FaultPlan` wraps its access
 objects in fault injectors), recover transient probe failures with a
-budget-honest :class:`~repro.faults.RetryPolicy`, requeue or hedge
+budget-honest :class:`~repro.faults.RetryPolicy`, requeue
 process-pool shards whose workers die, and — when ``strict=False`` —
 answer through the reason-coded degradation ladder
 (:class:`~repro.serve.degraded.DegradedAnswer`) instead of raising when
@@ -44,12 +44,7 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -193,7 +188,7 @@ def _serve_chunk(payload) -> tuple:
     Under a plan with ``shard_kill_rate`` the child may deterministically
     kill itself *before* doing any work (``os._exit`` => the parent sees
     ``BrokenProcessPool`` — real worker death, not an exception), which
-    is how the requeue/hedge path is exercised end to end.
+    is how the requeue path is exercised end to end.
 
     Slot 0 of the payload is either the pickled instance (legacy path:
     O(n) per shard) or a :class:`SharedInstanceHandle` (shared-memory
@@ -302,100 +297,73 @@ def _serve_chunk(payload) -> tuple:
     )
 
 
-def _first_result(
-    futures: list, *, timeout_s: float | None = None, shard: int = -1
-) -> tuple:
-    """First successful result of a (possibly hedged) future list.
+def _shard_result(fut, *, timeout_s: float | None = None, shard: int = -1) -> tuple:
+    """``(result, None)`` for a shard attempt that succeeded, else
+    ``(None, error)``.
 
-    First-result-wins with a deterministic tie-break: among futures
-    completed at the same wait wake-up, the earliest submission (the
-    primary) is preferred.  Returns ``(result, winner_future, None)`` on
-    success or ``(None, None, last_error)`` when every attempt failed —
-    the winner identity is what lets ``merge_losers`` harvest the
-    *other* futures without double-counting the winner.
-
-    ``timeout_s`` is the stuck-shard watchdog: when no attempt settles
-    within the deadline the verdict is a
+    ``timeout_s`` is the stuck-shard watchdog: when the attempt has not
+    settled within the deadline the error is a
     :class:`~repro.errors.WatchdogTimeoutError` — the caller treats it
     exactly like a dead worker (requeue or give up), because a wedged
     shard and a killed one look identical from out here.
     """
-    pending = set(futures)
-    err: Exception | None = None
-    deadline = None if timeout_s is None else time.monotonic() + float(timeout_s)
-    while pending:
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None, None, WatchdogTimeoutError(shard, float(timeout_s))
-        done, pending = wait(
-            pending, timeout=remaining, return_when=FIRST_COMPLETED
-        )
-        if not done and deadline is not None and time.monotonic() >= deadline:
-            return None, None, WatchdogTimeoutError(shard, float(timeout_s))
-        for fut in futures:  # submission order = deterministic tie-break
-            if fut in done:
-                try:
-                    return fut.result(), fut, None
-                except Exception as exc:  # worker death, pickling, ...
-                    err = exc
-    return None, None, err
+    done, _ = wait([fut], timeout=timeout_s)
+    if not done:
+        return None, WatchdogTimeoutError(shard, float(timeout_s))
+    try:
+        return fut.result(), None
+    except Exception as exc:  # worker death, pickling, ...
+        return None, exc
 
 
-class _WorkerPools:
-    """A service's persistent process pools, one per lane.
+class _WorkerPool:
+    """A service's persistent process pool.
 
-    Lane 0 serves every shard; hedged services add lane 1 for the
-    duplicate submissions.  A lane's pool is built on first use and kept
-    across batches, so its workers keep their segment attachment and
-    warm page tables.  It is replaced only when it broke (a worker
-    died), when the watchdog escalated, or on :meth:`shutdown`.  Holds
-    no reference to the service, so the service's GC finalizer can call
-    :meth:`shutdown` without keeping the service alive.
+    Built on first use and kept across batches, so its workers keep
+    their segment attachment and warm page tables.  It is replaced only
+    when it broke (a worker died), when the watchdog escalated, or on
+    :meth:`shutdown`.  Holds no reference to the service, so the
+    service's GC finalizer can call :meth:`shutdown` without keeping
+    the service alive.
     """
 
-    def __init__(self, lanes: int, workers: int) -> None:
+    def __init__(self, workers: int) -> None:
         self._workers = workers
-        self._lanes: list = [None] * lanes
+        self._pool = None
         self._lock = threading.Lock()
 
-    @property
-    def lanes(self) -> int:
-        return len(self._lanes)
-
-    def _pool(self, lane: int):
+    def _current(self):
         with self._lock:
-            pool = self._lanes[lane]
-            if pool is None:
-                pool = self._lanes[lane] = ProcessPoolExecutor(
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
                     max_workers=self._workers,
                     mp_context=multiprocessing.get_context(POOL_START_METHOD),
                 )
-            return pool
+            return self._pool
 
-    def submit(self, lane: int, payload) -> tuple:
-        """Submit one chunk on ``lane``; returns ``(pool, future)``.
+    def submit(self, payload) -> tuple:
+        """Submit one chunk; returns ``(pool, future)``.
 
         A pool found broken at submit (a worker died while idle) is
         replaced and the chunk goes to the new one."""
-        pool = self._pool(lane)
+        pool = self._current()
         try:
             return pool, pool.submit(_serve_chunk, payload)
         except BrokenProcessPool:
             self.retire(pool)
-            pool = self._pool(lane)
+            pool = self._current()
             return pool, pool.submit(_serve_chunk, payload)
 
     def retire(self, pool, *, terminate: bool = False) -> None:
-        """Take ``pool`` out of its lane (if still there) and shut it
-        down; the lane's next submit builds a replacement.
+        """Drop ``pool`` (if still current) and shut it down; the next
+        submit builds a replacement.
 
         ``terminate`` escalates: cancel what never started, terminate
         what runs (a wedged worker would make ``shutdown(wait=True)``
         hang for its stall's full duration), and reap the workers."""
         with self._lock:
-            self._lanes = [None if p is pool else p for p in self._lanes]
+            if self._pool is pool:
+                self._pool = None
         if not terminate:
             pool.shutdown(wait=True, cancel_futures=True)
             return
@@ -407,15 +375,15 @@ class _WorkerPools:
             proc.join(5.0)
 
     def shutdown(self) -> None:
-        """Shut every lane's pool down and reap its workers."""
+        """Shut the pool down and reap its workers."""
         with self._lock:
-            pools = [p for p in self._lanes if p is not None]
-            self._lanes = [None] * len(self._lanes)
-        for pool in pools:
-            try:
-                pool.shutdown(wait=True, cancel_futures=True)
-            except RuntimeError:  # collected on the pool's own manager thread
-                pool.shutdown(wait=False, cancel_futures=True)
+            pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        try:
+            pool.shutdown(wait=True, cancel_futures=True)
+        except RuntimeError:  # collected on the pool's own manager thread
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -432,7 +400,6 @@ class _ShardTotals:
     degraded: int = 0
     probe_retries: int = 0
     shard_retries: int = 0
-    hedges: int = 0
 
 
 @dataclass(frozen=True)
@@ -442,10 +409,10 @@ class BatchReport:
     ``degraded`` counts answers served off the degradation ladder
     (always 0 under ``strict=True``); ``stale_served`` counts the subset
     of those the cache rung answered off a pipeline at least one batch
-    stale; ``shard_retries``/``hedges`` count process-pool shard
-    requeues after worker death and hedged duplicate submissions;
-    ``probe_retries`` counts budget-charged re-probes the retry policy
-    performed on the batch's behalf.
+    stale; ``shard_retries`` counts process-pool shard requeues after
+    worker death or a watchdog expiry; ``probe_retries`` counts
+    budget-charged re-probes the retry policy performed on the batch's
+    behalf.
     """
 
     answers: tuple[LCAAnswer, ...]
@@ -460,7 +427,6 @@ class BatchReport:
     degraded: int = 0
     probe_retries: int = 0
     shard_retries: int = 0
-    hedges: int = 0
     stale_served: int = 0
 
     @property
@@ -494,7 +460,6 @@ class BatchReport:
             "availability": self.availability,
             "probe_retries": self.probe_retries,
             "shard_retries": self.shard_retries,
-            "hedges": self.hedges,
             "stale_served": self.stale_served,
         }
 
@@ -542,10 +507,6 @@ class KnapsackService:
     max_shard_retries:
         Times a process-pool shard is requeued after worker death before
         the batch gives up on it (raise under strict, degrade otherwise).
-    hedge:
-        When true, each process-pool shard is also submitted to a second
-        persistent pool; first result wins with a deterministic
-        tie-break (primary preferred).
     max_staleness:
         Bound (in served batches) on how stale a memoized pipeline the
         degradation ladder's cache rung may answer from; ``None``
@@ -559,21 +520,6 @@ class KnapsackService:
         :class:`~repro.errors.CorruptProbeError` instead of being
         trusted.  Requires ``retry_policy`` — detection without recovery
         would just turn corruption into an outage.
-    merge_losers:
-        Opt-in telemetry completeness for hedged/requeued process-pool
-        shards.  By default only the *winning* attempt's observability
-        ships home (matching how losing cost bills are discarded, so
-        merged telemetry reconciles with the budget).  With
-        ``merge_losers=True`` the obs state of losing attempts that
-        still ran to completion is merged too — their trace roots
-        renamed with an ``.abandoned`` suffix and their events tagged
-        ``abandoned=true`` — and their probe bills are accumulated in
-        separate ``abandoned_*`` counters (:meth:`stats`), never in
-        ``samples_used``/``queries_used``.  Attributed work then
-        legitimately *exceeds* billed work: that surplus is exactly the
-        cluster-wide cost of hedging, which is the thing this flag
-        exists to measure.  Answer values and budget accounting are
-        unchanged either way.
     shared_instance:
         When truthy, process-pool shards receive an O(1)
         :class:`~repro.knapsack.shm.SharedInstanceHandle` instead of the
@@ -624,10 +570,8 @@ class KnapsackService:
         retry_policy: RetryPolicy | None = None,
         strict: bool = True,
         max_shard_retries: int = 2,
-        hedge: bool = False,
         max_staleness: int | None = None,
         probe_audit: bool = False,
-        merge_losers: bool = False,
         shared_instance: bool | SharedInstanceStore = False,
         breaker: BreakerConfig | bool | None = None,
         shard_deadline_s: float | None = None,
@@ -673,11 +617,9 @@ class KnapsackService:
         self._retry_policy = retry_policy
         self._strict = bool(strict)
         self._max_shard_retries = int(max_shard_retries)
-        self._hedge = bool(hedge)
-        self._merge_losers = bool(merge_losers)
-        self._pools = _WorkerPools(2 if self._hedge else 1, self._max_workers)
+        self._pool = _WorkerPool(self._max_workers)
         # A service dropped without close() still reaps its workers.
-        weakref.finalize(self, self._pools.shutdown)
+        weakref.finalize(self, self._pool.shutdown)
         if breaker is True:
             self._breaker_cfg: BreakerConfig | None = BreakerConfig()
         elif breaker is False:
@@ -689,10 +631,6 @@ class KnapsackService:
         )
         self._deadline_shed = 0
         self._watchdog_timeouts = 0
-        self._abandoned_samples = 0
-        self._abandoned_queries = 0
-        self._abandoned_blocks = 0
-        self._abandoned_shards = 0
         self._max_staleness = None if max_staleness is None else int(max_staleness)
         if probe_audit:
             dom = params.domain if params is not None else None
@@ -867,17 +805,6 @@ class KnapsackService:
         return self._degraded_total
 
     @property
-    def abandoned_work(self) -> dict[str, int]:
-        """Probe work done by losing shard attempts (only populated
-        under ``merge_losers=True``; never part of the budget bill)."""
-        return {
-            "shards": self._abandoned_shards,
-            "samples": self._abandoned_samples,
-            "queries": self._abandoned_queries,
-            "blocks": self._abandoned_blocks,
-        }
-
-    @property
     def faults_injected(self) -> dict[str, int]:
         """Faults injected into this service's own access objects.
 
@@ -1043,9 +970,9 @@ class KnapsackService:
         pipeline run (or cache hit).  ``workers`` > 1 splits the batch
         into contiguous shards, each served under its own derived nonce
         by an independent LCA copy — the parallel execution path.
-        Process-pool shards whose workers die are requeued (and
-        optionally hedged); queries that cannot be answered the honest
-        way are degraded rather than aborted unless ``strict``.
+        Process-pool shards whose workers die are requeued; queries that
+        cannot be answered the honest way are degraded rather than
+        aborted unless ``strict``.
 
         ``deadline_s`` is the overload governor's admission gate: an
         absolute deadline on ``clock``'s timeline (``time.monotonic``
@@ -1205,7 +1132,6 @@ class KnapsackService:
             degraded=agg.degraded,
             probe_retries=agg.probe_retries,
             shard_retries=agg.shard_retries,
-            hedges=agg.hedges,
             stale_served=self._count_stale(ordered),
         )
 
@@ -1324,18 +1250,15 @@ class KnapsackService:
             _obs.timeline_spec(),
         )
 
-    def _merge_worker_obs(self, obs: dict | None, *, abandoned: bool = False) -> None:
-        """Fold one shard attempt's shipped observability state into the
-        parent runtime: registry (exact bucket-wise histogram merge),
-        trace subtree (grafted under the current batch span), and flight
-        events (re-stamped into the parent's total order).
+    def _merge_worker_obs(self, obs: dict | None) -> None:
+        """Fold one winning shard attempt's shipped observability state
+        into the parent runtime: registry (exact bucket-wise histogram
+        merge), trace subtree (grafted under the current batch span),
+        flight events (re-stamped into the parent's total order), and
+        timeline ticks.
 
-        By default only winning attempts are merged, matching how losing
-        cost bills are discarded.  Under ``merge_losers`` losing
-        attempts arrive with ``abandoned=True``: their trace root is
-        renamed with an ``.abandoned`` suffix and their events tagged,
-        so abandoned work is visible but never mistakable for the
-        serving path.
+        Only winning attempts are merged, matching how a failed
+        attempt's cost bill never reaches the budget.
         """
         if not obs:
             return
@@ -1346,49 +1269,25 @@ class KnapsackService:
         if trace is not None:
             parent = _obs.TRACER.current()
             if parent is not None:
-                root = span_from_payload(trace)
-                if abandoned:
-                    root.name = f"{root.name}.abandoned"
-                _obs.TRACER.graft(parent, root)
+                _obs.TRACER.graft(parent, span_from_payload(trace))
         events = obs.get("events")
         if events:
-            if abandoned:
-                events = [
-                    {**e, "attrs": {**(e.get("attrs") or {}), "abandoned": True}}
-                    for e in events
-                ]
             _obs.RECORDER.ingest(events)
-        # Winners only: an abandoned attempt's trajectory would
-        # double-count ticks the winning attempt already represents,
-        # the same reason losing cost bills never reach the budget.
         timeline = obs.get("timeline")
-        if timeline and not abandoned and _obs.TIMELINE is not None:
+        if timeline and _obs.TIMELINE is not None:
             _obs.TIMELINE.merge_state(timeline)
 
-    def _absorb_loser(self, res: tuple) -> None:
-        """Account one losing-but-completed shard attempt's telemetry.
-
-        Its probe bill goes to the ``abandoned_*`` counters — *not* to
-        ``samples_used``/``queries_used``, which stay reconciled with
-        the budget — and its obs state merges tagged as abandoned."""
-        self._abandoned_shards += 1
-        self._abandoned_samples += int(res[1])
-        self._abandoned_queries += int(res[2])
-        self._abandoned_blocks += int(res[3])
-        self._merge_worker_obs(
-            res[6] if len(res) > 6 else None, abandoned=True
-        )
-
     def _settle_round(self, owner: dict, *, escalate: bool) -> None:
-        """End one requeue round on the persistent pools.
+        """End one requeue round on the persistent pool.
 
         Normally: cancel the attempts that never started, wait for the
-        running ones, and retire any pool a dead worker broke.  After a
-        watchdog expiry: terminate and retire every pool the round used.
+        running ones, and retire any pool a dead worker broke (a round
+        may span a pool and its replacement).  After a watchdog expiry:
+        terminate and retire every pool the round used.
         """
         if escalate:
             for pool in {id(p): p for p in owner.values()}.values():
-                self._pools.retire(pool, terminate=True)
+                self._pool.retire(pool, terminate=True)
             return
         for fut in owner:
             fut.cancel()
@@ -1399,21 +1298,18 @@ class KnapsackService:
             if not fut.cancelled() and isinstance(fut.exception(), BrokenProcessPool)
         }
         for pool in broken.values():
-            self._pools.retire(pool)
+            self._pool.retire(pool)
 
     def _run_process(self, shards, nonces, w, strict) -> _ShardTotals:
         """Submit shards to the service's process pool with requeue-on-death.
 
-        The pool outlives the batch (see :class:`_WorkerPools`).  A dead
-        worker breaks its whole pool, so a round that saw one retires
-        that pool and the requeue round runs on its replacement; the
-        failed shard is resubmitted with an incremented attempt index
-        (its fault coins are attempt-keyed, so a requeue is a genuinely
-        new roll, not a replay of its killer).  Hedged mode mirrors
-        every submission into a second pool — first result wins,
-        primaries break ties.  At the end of each round attempts that
-        never started are cancelled and running ones are waited for, so
-        every loser has settled before ``merge_losers`` harvests it.
+        Each shard has exactly one attempt in flight.  The pool outlives
+        the batch (see :class:`_WorkerPool`).  A dead worker breaks the
+        whole pool, so a round that saw one retires that pool and the
+        requeue round runs on its replacement; the failed shard is
+        resubmitted with an incremented attempt index (its fault coins
+        are attempt-keyed, so a requeue is a genuinely new roll, not a
+        replay of its killer).
 
         Under ``shard_deadline_s`` a stuck-shard watchdog bounds each
         shard's wait: an attempt that neither finishes nor dies in time
@@ -1426,41 +1322,28 @@ class KnapsackService:
         """
         n_shards = len(shards)
         results: dict[int, tuple | None] = {}
-        submissions = {k: 0 for k in range(n_shards)}
         requeues = {k: 0 for k in range(n_shards)}
         last_error: dict[int, Exception] = {}
         shard_retries = 0
-        hedges = 0
         todo = list(range(n_shards))
         while todo:
             failed: list[int] = []
             watchdog_fired = False
-            futures: dict[int, list] = {}
+            futures: dict[int, object] = {}
             owner: dict = {}  # future -> the pool it was submitted to
-            winners: dict[int, object] = {}
             try:
                 for k in todo:
-                    subs = []
-                    for lane in range(self._pools.lanes):
-                        payload = self._chunk_payload(
-                            shards[k], nonces[k], submissions[k], strict, k
-                        )
-                        pool, fut = self._pools.submit(lane, payload)
-                        owner[fut] = pool
-                        subs.append(fut)
-                        submissions[k] += 1
-                    if len(subs) > 1:
-                        hedges += 1
-                        _obs.record_hedges(1)
-                        _obs.record_event("shard.hedge", shard=k, nonce=nonces[k])
-                    futures[k] = subs
+                    payload = self._chunk_payload(
+                        shards[k], nonces[k], requeues[k], strict, k
+                    )
+                    pool, futures[k] = self._pool.submit(payload)
+                    owner[futures[k]] = pool
                 for k in todo:
-                    res, winner, err = _first_result(
+                    res, err = _shard_result(
                         futures[k], timeout_s=self._shard_deadline_s, shard=k
                     )
                     if err is None:
                         results[k] = res
-                        winners[k] = winner
                     else:
                         if isinstance(err, WatchdogTimeoutError):
                             watchdog_fired = True
@@ -1478,29 +1361,18 @@ class KnapsackService:
                         failed.append(k)
             finally:
                 self._settle_round(owner, escalate=watchdog_fired)
-            if self._merge_losers:
-                # The round's futures are settled: losing attempts that
-                # ran to completion (hedge runners-up, or late finishers
-                # the winner beat) are harvestable; cancelled-before-start
-                # ones are not — nothing ran.
-                for k, subs in futures.items():
-                    for fut in subs:
-                        if fut is winners.get(k) or fut.cancelled():
-                            continue
-                        if fut.done() and fut.exception() is None:
-                            self._absorb_loser(fut.result())
             todo = []
             for k in failed:
                 if requeues[k] >= self._max_shard_retries:
                     if strict:
                         raise ShardFailureError(
-                            k, submissions[k], last_error[k]
+                            k, requeues[k] + 1, last_error[k]
                         ) from last_error[k]
                     _obs.record_event(
                         "shard.failed",
                         shard=k,
                         nonce=nonces[k],
-                        attempts=submissions[k],
+                        attempts=requeues[k] + 1,
                     )
                     results[k] = None
                 else:
@@ -1522,7 +1394,7 @@ class KnapsackService:
             res = results[k]
             if res is None:
                 # Dead past requeue: degrade the shard in the parent.
-                failure = ShardFailureError(k, submissions[k], last_error[k])
+                failure = ShardFailureError(k, requeues[k] + 1, last_error[k])
                 answers.append(self._degrade(shards[k], failure))
                 degraded += len(shards[k])
                 continue
@@ -1532,7 +1404,7 @@ class KnapsackService:
             blocks += res[3]
             degraded += res[4]
             retries += res[5]
-            obs_state = res[6] if len(res) > 6 else None
+            obs_state = res[6]
             self._merge_worker_obs(obs_state)
             if obs_state and "setup_s" in obs_state:
                 self._worker_setup_s.append(float(obs_state["setup_s"]))
@@ -1550,7 +1422,6 @@ class KnapsackService:
             degraded=degraded,
             probe_retries=retries,
             shard_retries=shard_retries,
-            hedges=hedges,
         )
 
     # ------------------------------------------------------------------
@@ -1565,7 +1436,6 @@ class KnapsackService:
             "probe_hedges": self.probe_hedges_used,
             "degraded_total": self.degraded_total,
             "faults_injected": self.faults_injected,
-            "abandoned_work": self.abandoned_work,
             "overload": {
                 "deadline_shed": self._deadline_shed,
                 "watchdog_timeouts": self._watchdog_timeouts,
@@ -1628,7 +1498,7 @@ class KnapsackService:
         :class:`SharedInstanceStore`.  After close, the next process
         batch lazily creates a new pool (and, if owned, a new segment).
         """
-        self._pools.shutdown()
+        self._pool.shutdown()
         if self._store is not None and self._owns_store:
             self._store.close()
         if self._owns_store:

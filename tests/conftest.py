@@ -23,6 +23,27 @@ from repro.reproducible.domains import EfficiencyDomain
 EPSILON = 0.1
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--pool-start-method",
+        choices=("fork", "forkserver", "spawn"),
+        default=None,
+        help=(
+            "test-only: start process-shard pools with this multiprocessing "
+            "start method for the whole session (default: the module's "
+            "POOL_START_METHOD)"
+        ),
+    )
+
+
+def pytest_configure(config):
+    method = config.getoption("--pool-start-method")
+    if method is not None:
+        import repro.serve.service as service_mod
+
+        service_mod.POOL_START_METHOD = method
+
+
 @pytest.fixture(scope="session")
 def epsilon() -> float:
     """Accuracy parameter used by most LCA tests."""

@@ -138,13 +138,40 @@ class TestBenchSchemas:
                     "wall_clock_s": 0.5,
                     "total_queries": 3,
                     "total_samples": 10,
-                    "sample_batch_histogram": {"count": 0, "sum": 0.0},
+                    "sample_batch_histogram": {"count": 1, "sum": 10.0},
                 }
             },
         }
         validate_bench_observability(doc)
         doc["experiments"]["E0"].pop("total_samples")
         with pytest.raises(SchemaError):
+            validate_bench_observability(doc)
+
+    @pytest.mark.parametrize(
+        "total_samples, histogram, complaint",
+        [
+            # Another experiment's draws filed under one that drew none.
+            (0, {"count": 10, "sum": 1451700.0}, "sum"),
+            (0, {"count": 3, "sum": 0.0}, "count"),
+            (500, {"count": 2, "sum": 400.0}, "sum"),
+        ],
+    )
+    def test_bench_observability_histogram_must_match_total_samples(
+        self, total_samples, histogram, complaint
+    ):
+        doc = {
+            "schema": "bench-observability/v1",
+            "experiments": {
+                "E11": {
+                    "title": "t",
+                    "wall_clock_s": 0.5,
+                    "total_queries": 0,
+                    "total_samples": total_samples,
+                    "sample_batch_histogram": histogram,
+                }
+            },
+        }
+        with pytest.raises(SchemaError, match=f"sample_batch_histogram.{complaint}"):
             validate_bench_observability(doc)
 
     def test_dispatch(self):

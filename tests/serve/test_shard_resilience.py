@@ -1,4 +1,4 @@
-"""Tests for shard requeue, hedging, and shard-level degradation.
+"""Tests for shard requeue and shard-level degradation.
 
 Process-pool shards are killed via seeded, attempt-keyed coins
 (``FaultPlan.shard_kill``), so kill-then-recover is a deterministic
@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import ShardFailureError
 from repro.faults import FaultPlan
+from repro.obs import runtime as rt
 from repro.serve import KnapsackService
 
 INDICES = list(range(0, 60, 3))
@@ -76,13 +77,27 @@ class TestRequeue:
             svc.answer_batch(INDICES, nonce=31, workers=2)
 
 
+def billed_counters() -> tuple[int, int]:
+    counters = rt.snapshot()["counters"]
+    return counters.get("sampler.samples", 0), counters.get("oracle.queries", 0)
+
+
 @pytest.mark.slow
-class TestHedging:
-    def test_hedged_batch_matches_unhedged(self, tiers_instance, fast_params):
-        hedged = service(tiers_instance, fast_params, hedge=True)
-        plain = service(tiers_instance, fast_params)
-        a = hedged.answer_batch(INDICES, nonce=31, workers=2)
-        b = plain.answer_batch(INDICES, nonce=31, workers=2)
-        assert [x.include for x in a.answers] == [x.include for x in b.answers]
-        assert a.hedges >= 1
-        assert a.degraded == 0
+class TestWinnersOnlyBilling:
+    @pytest.mark.parametrize("kill_rate", [0.0, 1.0], ids=["clean", "killed"])
+    def test_registry_delta_equals_the_bill(
+        self, tiers_instance, fast_params, kill_rate
+    ):
+        # A killed attempt ships nothing home: the merged registry counts
+        # exactly the work the batch report bills, requeue or not.
+        plan = FaultPlan(seed=5, shard_kill_rate=kill_rate, shard_kill_attempts=1)
+        svc = service(tiers_instance, fast_params, fault_plan=plan)
+        before = billed_counters()
+        report = svc.answer_batch(INDICES, nonce=31, workers=2)
+        after = billed_counters()
+        assert report.shard_retries == (2 if kill_rate else 0)
+        assert report.samples_spent > 0
+        assert (after[0] - before[0], after[1] - before[1]) == (
+            report.samples_spent, report.queries_spent,
+        )
+

@@ -14,6 +14,7 @@ import pytest
 from repro.errors import DeadlineExceededError
 from repro.faults import FaultPlan
 from repro.knapsack.shm import orphaned_system_segments
+from repro.obs import runtime as rt
 from repro.serve import KnapsackService
 
 INDICES = list(range(0, 60, 3))
@@ -117,3 +118,27 @@ class TestWatchdog:
                 tiers_instance, 0.1, seed=42, params=fast_params,
                 shard_deadline_s=0.0,
             )
+
+
+@pytest.mark.slow
+class TestWatchdogBilling:
+    def test_registry_delta_equals_the_bill_after_a_stall(
+        self, tiers_instance, fast_params
+    ):
+        # The stalled attempt is terminated before it ships anything, so
+        # the merged registry counts only the requeued winners' work.
+        svc = KnapsackService(
+            tiers_instance, 0.1, seed=42, params=fast_params, cache=False,
+            executor="process", fault_plan=STALL, shard_deadline_s=0.75,
+        )
+        before = rt.snapshot()["counters"]
+        report = svc.answer_batch(INDICES, nonce=31, workers=2)
+        after = rt.snapshot()["counters"]
+        assert report.shard_retries >= 1
+        assert report.samples_spent > 0
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert delta("sampler.samples") == report.samples_spent
+        assert delta("oracle.queries") == report.queries_spent
